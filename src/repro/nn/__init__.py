@@ -5,8 +5,10 @@ TensorFlow: the environment (performance) model, the DDPG actor, and the
 DDPG critic.  This package re-implements everything those networks need —
 dense layers, activations, losses, optimisers, backpropagation, gradients
 with respect to *inputs* (required by the deterministic policy gradient),
-flattened parameter vectors (required by parameter-space exploration noise),
-and soft target-network updates.
+and soft target-network updates.  Each network keeps all of its parameters
+in one flat vector (and its gradients in a second), so optimiser steps,
+target-network updates and parameter-space exploration noise are
+whole-vector operations.
 """
 
 from repro.nn.activations import (

@@ -7,7 +7,8 @@ The layer supports everything MIRAS's networks need:
   chains dQ/da through the critic's input),
 - an optional *auxiliary input* concatenated at this layer (the paper's
   critic "inserts one of Critic's inputs — action — to the second layer"),
-- flattened parameter views for parameter-space exploration noise.
+- parameters and gradients held as *views* into caller-supplied flat
+  vectors, so a network keeps all of its layers in one contiguous arena.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ class Dense:
         One of ``glorot``, ``he``, ``small_uniform``.
     aux_dim:
         Width of an auxiliary input concatenated to this layer's input.
+    params / grads:
+        Flat float64 vectors of length :meth:`param_count` that back
+        ``weights``/``bias`` and ``grad_weights``/``grad_bias`` (weights
+        first, row-major, then bias).  :class:`repro.nn.MLP` passes slices
+        of its arena; a standalone layer allocates its own.  The four
+        attributes are views and must only be written in place.
     """
 
     def __init__(
@@ -60,6 +67,8 @@ class Dense:
         init: str = "he",
         aux_dim: int = 0,
         rng: Optional[RngStream] = None,
+        params: Optional[np.ndarray] = None,
+        grads: Optional[np.ndarray] = None,
     ):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(
@@ -81,13 +90,14 @@ class Dense:
             if isinstance(activation, Activation)
             else get_activation(activation)
         )
-        fan_in = in_dim + aux_dim
-        self.weights = _INITIALIZERS[init](fan_in, out_dim, rng)
-        self.bias = constant_init(1, out_dim).reshape(out_dim)
-
-        # Gradients populated by backward().
-        self.grad_weights = np.zeros_like(self.weights)
-        self.grad_bias = np.zeros_like(self.bias)
+        size = self.param_count(in_dim, out_dim, aux_dim)
+        if params is None:
+            params = np.empty(size, dtype=np.float64)
+        if grads is None:
+            grads = np.zeros(size, dtype=np.float64)
+        self.bind(params, grads)
+        self.weights[...] = _INITIALIZERS[init](in_dim + aux_dim, out_dim, rng)
+        self.bias[...] = constant_init(1, out_dim).reshape(out_dim)
 
         # Forward cache.
         self._x: Optional[np.ndarray] = None
@@ -134,52 +144,70 @@ class Dense:
         self._y = self.activation.forward(self._z)
         return self._y
 
-    def backward(self, grad_y: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def backward(
+        self, grad_y: np.ndarray, param_grads: bool = True
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Backpropagate ``dL/dy``; returns ``(dL/dx, dL/daux)``.
 
-        Also accumulates ``grad_weights`` / ``grad_bias`` (overwriting the
-        previous values — optimizers read them right after).
+        With ``param_grads`` (the default) also writes ``grad_weights`` /
+        ``grad_bias`` in place (overwriting the previous values —
+        optimizers read them right after); without it they are left alone.
         """
         if self._x is None or self._z is None or self._y is None:
             raise RuntimeError("backward() called before forward()")
         grad_z = self.activation.backward(grad_y, self._z, self._y)
-        self.grad_weights = self._x.T @ grad_z
-        self.grad_bias = grad_z.sum(axis=0)
+        if param_grads:
+            np.matmul(self._x.T, grad_z, out=self.grad_weights)
+            np.sum(grad_z, axis=0, out=self.grad_bias)
         grad_x_full = grad_z @ self.weights.T
         if self.aux_dim:
             return grad_x_full[:, : self.in_dim], grad_x_full[:, self.in_dim :]
         return grad_x_full, None
 
-    # Parameter flattening (for parameter-space noise) ------------------
+    # Parameter storage --------------------------------------------------
+    @staticmethod
+    def param_count(in_dim: int, out_dim: int, aux_dim: int = 0) -> int:
+        """Length of the flat vector backing a layer of these dims."""
+        return (in_dim + aux_dim + 1) * out_dim
+
     @property
     def num_params(self) -> int:
         return self.weights.size + self.bias.size
 
-    def get_flat(self) -> np.ndarray:
-        """Return a flat copy of (weights, bias)."""
-        return np.concatenate([self.weights.ravel(), self.bias.ravel()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        """Load parameters from a flat vector produced by :meth:`get_flat`."""
-        if flat.shape != (self.num_params,):
-            raise ValueError(
-                f"flat vector has shape {flat.shape}, expected ({self.num_params},)"
-            )
-        w_size = self.weights.size
-        self.weights = flat[:w_size].reshape(self.weights.shape).copy()
-        self.bias = flat[w_size:].reshape(self.bias.shape).copy()
+    def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Point the parameter and gradient attributes at views of
+        ``params`` / ``grads`` without copying any values."""
+        size = self.param_count(self.in_dim, self.out_dim, self.aux_dim)
+        for flat in (params, grads):
+            # A strided vector would make reshape() copy, detaching the view.
+            if not (
+                flat.shape == (size,)
+                and flat.dtype == np.float64
+                and flat.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"params/grads must be contiguous float64 vectors of "
+                    f"length {size}, got {flat.dtype} {flat.shape}"
+                )
+        shape = (self.in_dim + self.aux_dim, self.out_dim)
+        w_size = shape[0] * shape[1]
+        self.weights = params[:w_size].reshape(shape)
+        self.bias = params[w_size:]
+        self.grad_weights = grads[:w_size].reshape(shape)
+        self.grad_bias = grads[w_size:]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy of all parameters for checkpointing."""
         return {"weights": self.weights.copy(), "bias": self.bias.copy()}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Copy parameters into the existing views (shapes must match)."""
         if state["weights"].shape != self.weights.shape:
             raise ValueError("weights shape mismatch in state dict")
         if state["bias"].shape != self.bias.shape:
             raise ValueError("bias shape mismatch in state dict")
-        self.weights = state["weights"].copy()
-        self.bias = state["bias"].copy()
+        self.weights[...] = state["weights"]
+        self.bias[...] = state["bias"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         aux = f", aux_dim={self.aux_dim}" if self.aux_dim else ""

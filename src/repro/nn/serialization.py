@@ -65,13 +65,12 @@ def load_mlp(path: Union[str, Path]) -> MLP:
             ),
         )
         for i, layer in enumerate(network.layers):
-            weights = archive[f"layer{i}/weights"]
-            bias = archive[f"layer{i}/bias"]
-            if weights.shape != layer.weights.shape:
-                raise ValueError(
-                    f"layer {i} weight shape mismatch in {path}: "
-                    f"{weights.shape} vs {layer.weights.shape}"
-                )
-            layer.weights = weights.copy()
-            layer.bias = bias.copy()
+            for name, view in (("weights", layer.weights), ("bias", layer.bias)):
+                stored = archive[f"layer{i}/{name}"]
+                if stored.shape != view.shape:
+                    raise ValueError(
+                        f"layer {i} {name} shape mismatch in {path}: "
+                        f"{stored.shape} vs {view.shape}"
+                    )
+                view[...] = stored
     return network

@@ -90,23 +90,31 @@ class TestDenseBackward:
 
 class TestFlatParams:
     def test_roundtrip(self, layer_rng):
-        layer = Dense(3, 4, rng=layer_rng)
-        flat = layer.get_flat()
-        assert flat.shape == (layer.num_params,)
-        layer.set_flat(flat * 2.0)
-        assert np.allclose(layer.get_flat(), flat * 2.0)
+        params = np.empty(Dense.param_count(3, 4))
+        layer = Dense(3, 4, rng=layer_rng, params=params)
+        assert np.shares_memory(layer.weights, params)
+        assert np.shares_memory(layer.bias, params)
+        flat = np.concatenate([layer.weights.ravel(), layer.bias])
+        assert flat.tobytes() == params.tobytes()
+        params *= 2.0
+        doubled = np.concatenate([layer.weights.ravel(), layer.bias])
+        assert np.array_equal(doubled, flat * 2.0)
 
     def test_wrong_size_rejected(self, layer_rng):
-        layer = Dense(3, 4, rng=layer_rng)
-        with pytest.raises(ValueError):
-            layer.set_flat(np.zeros(layer.num_params + 1))
+        size = Dense.param_count(3, 4)
+        with pytest.raises(ValueError, match="length"):
+            Dense(3, 4, rng=layer_rng, params=np.zeros(size + 1))
+        with pytest.raises(ValueError, match="length"):
+            Dense(3, 4, rng=layer_rng, grads=np.zeros(size, dtype=np.float32))
 
     def test_state_dict_roundtrip(self, layer_rng):
         layer = Dense(3, 4, rng=layer_rng)
         state = layer.state_dict()
+        weights = layer.weights
         layer.weights[:] = 0.0
         layer.load_state_dict(state)
         assert np.allclose(layer.weights, state["weights"])
+        assert layer.weights is weights  # written in place, still a view
 
 
 class TestLosses:

@@ -96,6 +96,16 @@ class TestGradients:
                 ) / (2 * eps)
                 assert analytic[i, j] == pytest.approx(numeric, abs=1e-6)
 
+    def test_input_gradient_leaves_param_grads_alone(self, net_rng):
+        net = MLP([3, 8, 1], aux_dim=2, aux_layer=1, rng=net_rng)
+        x = net_rng.normal(size=(4, 3))
+        aux = net_rng.normal(size=(4, 2))
+        value, grad = MeanSquaredError()(net.forward(x, aux), np.zeros((4, 1)))
+        net.backward(grad)
+        before = net.grads.copy()
+        net.input_gradient(x, aux=aux, wrt="aux")
+        assert net.grads.tobytes() == before.tobytes()
+
     def test_aux_gradient_requires_aux_network(self, net_rng):
         net = MLP([3, 8, 1], rng=net_rng)
         with pytest.raises(ValueError, match="no auxiliary"):

@@ -21,13 +21,17 @@ class TestPerturbationLifecycle:
         agent = make_agent(perturb_interval=5, param_noise_sigma=0.3)
         state = np.array([4.0, 2.0, 1.0])
         agent.act(state, explore=True)
-        first = agent._perturbed_network
+        network = agent._perturbed_network
+        first = network.get_flat()
         for _ in range(3):
             agent.act(state, explore=True)
-        assert agent._perturbed_network is first  # within the interval
+        # Within the interval the perturbed weights stay put.
+        assert np.array_equal(network.get_flat(), first)
         for _ in range(5):
             agent.act(state, explore=True)
-        assert agent._perturbed_network is not first  # refreshed
+        # A refresh rewrites the same network's weights in place.
+        assert agent._perturbed_network is network
+        assert not np.array_equal(network.get_flat(), first)
 
     def test_refresh_changes_the_perturbation(self):
         agent = make_agent(param_noise_sigma=0.3)
