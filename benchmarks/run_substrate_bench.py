@@ -62,11 +62,9 @@ PRODUCTION_SCALE = dict(
     windows=12,
     burst={"Type1": 20000, "Type2": 10000, "Type3": 10000},
 )
-# Weighted toward upstream services so downstream backlogs accumulate
-# and the vectorised window replay engages (a balanced pipeline keeps
-# downstream queues near-empty, which starves the replay's
-# start-of-window prefix and forces the exact fallback — see
-# docs/SIMULATOR.md, "Fast-path preconditions").
+# Scenario values (the upstream-weighted allocation included) are kept
+# as they were so results stay comparable with earlier
+# BENCH_substrate.json numbers.
 MILLION_SCALE = dict(
     consumer_budget=8192,
     window_length=240.0,
@@ -117,8 +115,6 @@ def run_one(cls, scale):
         "workflows_completed": workflows,
         "seconds": elapsed,
         "tasks_per_second": tasks / elapsed if elapsed else float("inf"),
-        "fast_windows": getattr(system, "fast_windows", None),
-        "fast_aborts": getattr(system, "fast_aborts", None),
     }
 
 
@@ -134,9 +130,7 @@ def run_pair(name, scale):
     print(
         f"[{name}]   {batched['tasks_completed']:,} tasks in "
         f"{batched['seconds']:.2f}s = "
-        f"{batched['tasks_per_second']:,.0f} tasks/s "
-        f"(fast windows {batched['fast_windows']}/{scale['windows']}, "
-        f"aborts {batched['fast_aborts']})"
+        f"{batched['tasks_per_second']:,.0f} tasks/s"
     )
     if serial["tasks_completed"] != batched["tasks_completed"]:
         raise AssertionError(
@@ -187,9 +181,7 @@ def run_million():
     print(
         f"[million] {system.invoker.completed_total:,}/{total:,} workflows, "
         f"{tasks:,} tasks in {elapsed:.1f}s over {windows} windows = "
-        f"{tasks / elapsed:,.0f} tasks/s "
-        f"(fast windows {system.fast_windows}, aborts {system.fast_aborts}, "
-        f"reasons {dict(sorted(system.fast_abort_reasons.items()))})"
+        f"{tasks / elapsed:,.0f} tasks/s"
     )
     return {
         "scenario": {k: v for k, v in scale.items()},
@@ -199,9 +191,6 @@ def run_million():
         "seconds": elapsed,
         "tasks_per_second": tasks / elapsed,
         "windows": windows,
-        "fast_windows": system.fast_windows,
-        "fast_aborts": system.fast_aborts,
-        "fast_abort_reasons": dict(sorted(system.fast_abort_reasons.items())),
     }
 
 

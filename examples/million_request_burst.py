@@ -6,13 +6,12 @@ consumer per dispatch; at operator scale (thousands of consumers,
 hundreds of thousands of queued requests) that is hours of wall-clock
 per experiment.  ``BatchedWorkflowSystem`` runs the same simulation —
 byte-identical traces, equal metrics snapshots — on a numpy
-struct-of-arrays request pool with batched queue operations, and
-replays entire windows vectorised when the fast-path preconditions
-hold (see docs/SIMULATOR.md).
+struct-of-arrays request pool with batched queue operations (see
+docs/SIMULATOR.md).
 
 This example injects 1,000,000 workflow requests (3.25 million tasks)
 as a single MSD burst and runs windows until the burst drains, printing
-throughput and fast-path statistics.
+throughput and per-service completions.
 
 Run:  PYTHONPATH=src python examples/million_request_burst.py --quick
       PYTHONPATH=src python examples/million_request_burst.py
@@ -24,12 +23,9 @@ import time
 from repro.sim import BatchedWorkflowSystem, SystemConfig
 from repro.workflows import build_msd_ensemble
 
-# Allocations are weighted toward the upstream services (Ingest,
-# Preprocess) so downstream queues accumulate backlogs: the vectorised
-# window replay only consumes each queue's start-of-window prefix, so a
-# perfectly balanced pipeline keeps downstream queues near-empty and
-# forces the exact fallback every window (docs/SIMULATOR.md,
-# "Fast-path preconditions").
+# Scenario values (the upstream-weighted allocations included) are kept
+# as they were so results stay comparable with earlier
+# BENCH_substrate.json numbers.
 FULL = dict(
     consumer_budget=8192,
     window_length=240.0,
@@ -84,9 +80,6 @@ def main():
     print(f"completed {system.invoker.completed_total:,}/{total:,} workflows "
           f"({tasks:,} tasks) in {elapsed:.1f}s over {windows} windows")
     print(f"throughput: {tasks / elapsed:,.0f} tasks/s")
-    print(f"fast windows: {system.fast_windows}/{windows}, "
-          f"aborts: {system.fast_aborts} "
-          f"(reasons: {dict(sorted(system.fast_abort_reasons.items()))})")
     for name, ms in system.microservices.items():
         print(f"  {name:<12} completed {ms.tasks_completed:>9,}  "
               f"queue depth {len(ms.fifo):>9,}")

@@ -188,12 +188,6 @@ class TypedEventLoop:
     without counting toward ``processed``.  The sequence counter is
     shared by every kind, so a batched run schedules the same ``seq``
     values as the serial run it mirrors.
-
-    The loop additionally tracks how many callback/ready events are
-    pending and whether any cancellation is outstanding — the
-    preconditions the vectorised window fast path of
-    :class:`repro.sim.batched.BatchedWorkflowSystem` checks before it
-    bypasses the heap (see docs/SIMULATOR.md).
     """
 
     def __init__(
@@ -209,8 +203,6 @@ class TypedEventLoop:
         self._seq_next = 0
         self._processed = 0
         self._cancelled: Set[int] = set()
-        self._ready_pending = 0
-        self._callback_pending = 0
         self._on_finish: Optional[Callable[[int, int], None]] = None
         self._on_ready: Optional[Callable[[int, int], None]] = None
         self.profiler = profiler if profiler is not None else NULL_PROFILER
@@ -240,21 +232,6 @@ class TypedEventLoop:
         """Number of events executed so far."""
         return self._processed
 
-    @property
-    def only_finish_events_pending(self) -> bool:
-        """True when the heap holds nothing but live task-finish events.
-
-        This is the fast-path gate: no arrival/chaos callbacks, no
-        consumer activations, and no cancelled rows awaiting lazy
-        removal — every pending row is a ``(ms, slot)`` finish whose
-        timing the vectorised window replay can reproduce exactly.
-        """
-        return (
-            self._callback_pending == 0
-            and self._ready_pending == 0
-            and not self._cancelled
-        )
-
     # Scheduling --------------------------------------------------------
     def schedule(
         self, delay: float, callback: Callable[[], None]
@@ -274,7 +251,6 @@ class TypedEventLoop:
             )
         seq = self._seq_next
         self._seq_next = seq + 1
-        self._callback_pending += 1
         heapq.heappush(self._heap, (when, seq, EVENT_CALLBACK, callback, 0))
         return TypedEventHandle(self, seq)
 
@@ -291,7 +267,6 @@ class TypedEventLoop:
         """Schedule a consumer-ready event; returns its cancellation token."""
         seq = self._seq_next
         self._seq_next = seq + 1
-        self._ready_pending += 1
         heapq.heappush(
             self._heap, (self._now + delay, seq, EVENT_READY, ms_index, slot)
         )
@@ -326,19 +301,13 @@ class TypedEventLoop:
             event_time, seq, kind, a, b = heapq.heappop(heap)
             if seq in cancelled:
                 cancelled.discard(seq)
-                if kind == EVENT_READY:
-                    self._ready_pending -= 1
-                elif kind == EVENT_CALLBACK:
-                    self._callback_pending -= 1
                 continue
             self._now = event_time
             if kind == EVENT_FINISH:
                 self._on_finish(a, b)
             elif kind == EVENT_READY:
-                self._ready_pending -= 1
                 self._on_ready(a, b)
             else:
-                self._callback_pending -= 1
                 a()
             executed += 1
             self._processed += 1
@@ -348,39 +317,6 @@ class TypedEventLoop:
                 )
         self._now = when
         return executed
-
-    # Fast-path surface --------------------------------------------------
-    # The vectorised window replay (repro.sim.batched) pops every due
-    # finish event, re-simulates the window arithmetically, and commits
-    # the result back through these three methods.  They are only legal
-    # while ``only_finish_events_pending`` holds — the caller checks.
-    def pop_due_finish_events(
-        self, when: float
-    ) -> List[Tuple[float, int, int, int]]:
-        """Pop all finish events with timestamp <= ``when``, heap-ordered."""
-        heap = self._heap
-        due: List[Tuple[float, int, int, int]] = []
-        while heap and heap[0][0] <= when:
-            event_time, seq, _kind, ms_index, slot = heapq.heappop(heap)
-            due.append((event_time, seq, ms_index, slot))
-        return due
-
-    def push_finish_event(
-        self, when: float, seq: int, ms_index: int, slot: int
-    ) -> None:
-        """Re-insert a finish event with an explicit sequence number."""
-        heapq.heappush(self._heap, (when, seq, EVENT_FINISH, ms_index, slot))
-
-    def commit_fast_window(self, when: float, executed: int, seqs: int) -> None:
-        """Advance clock and counters for a vectorised window replay.
-
-        ``executed`` events were replayed arithmetically and ``seqs``
-        sequence numbers consumed — exactly what the exact loop would
-        have popped and allocated event by event.
-        """
-        self._now = when
-        self._processed += executed
-        self._seq_next += seqs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TypedEventLoop(now={self._now:.3f}, pending={self.pending})"

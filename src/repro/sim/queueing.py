@@ -155,15 +155,14 @@ class IndexFifo:
     The batched substrate's replacement for :class:`AckQueue`'s deque of
     request objects: the queue holds ``int64`` indices into a
     :class:`repro.sim.requests.RequestPool`, stored contiguously between
-    a moving ``head`` and ``tail``.  Dequeues advance ``head`` (O(1),
-    batched dequeues are a pointer add); enqueues append at ``tail`` and
-    are vectorised via :meth:`push_many`.  ``push_front`` reinserts a
-    redelivered index at the head, preserving the ack mechanism's
-    front-of-queue redelivery ordering.
+    a moving ``head`` and ``tail``.  Dequeues advance ``head`` (O(1));
+    enqueues append at ``tail`` and are vectorised via
+    :meth:`push_many`.  ``push_front`` reinserts a redelivered index at
+    the head, preserving the ack mechanism's front-of-queue redelivery
+    ordering.
 
     The buffer compacts (or doubles) only when ``tail`` hits capacity,
-    so a window that enqueues and dequeues thousands of indices touches
-    numpy exactly twice.
+    so reallocation cost is amortised over many enqueues.
     """
 
     __slots__ = ("_buf", "_head", "_tail")
@@ -234,18 +233,6 @@ class IndexFifo:
         value = int(self._buf[self._head])
         self._head += 1
         return value
-
-    def peek_prefix(self, n: int) -> np.ndarray:
-        """Read-only view of the ``n`` oldest indices (no dequeue)."""
-        if n > len(self):
-            raise IndexError(f"prefix of {n} from IndexFifo of {len(self)}")
-        return self._buf[self._head:self._head + n]
-
-    def consume(self, n: int) -> None:
-        """Batch-dequeue the ``n`` oldest indices (pointer advance)."""
-        if n > len(self):
-            raise IndexError(f"consume of {n} from IndexFifo of {len(self)}")
-        self._head += n
 
     def to_list(self) -> List[int]:
         """Queue contents oldest-first (snapshot/debugging aid)."""

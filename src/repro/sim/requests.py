@@ -254,8 +254,7 @@ class RequestPool:
         """Append a batch of task rows; returns their indices in order.
 
         ``published_at`` is a scalar (burst submission: one shared
-        timestamp) or a per-row array (window replay: each successor is
-        published at its trigger's completion time).
+        timestamp) or a per-row array.
         """
         task_types = np.asarray(task_types, dtype=np.int32)
         workflows = np.asarray(workflows, dtype=np.int64)

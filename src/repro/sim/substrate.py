@@ -7,9 +7,7 @@ Two pieces the batched substrate (:mod:`repro.sim.batched`) builds on:
   scalar draws.  numpy's sized draws consume the bit generator exactly
   like the same number of scalar draws, so a block of 512 lognormals
   costs one numpy call yet leaves the stream indistinguishable from 512
-  serial calls.  The facade is also *rewindable*: an aborted vectorised
-  window rolls the generator back to the position the serial path would
-  occupy.
+  serial calls.
 
 - :func:`substrate_snapshot` — one deep, JSON-compatible dictionary of
   everything observable about a system (queues, consumers, counters,
@@ -27,7 +25,7 @@ __all__ = ["PrefetchStream", "substrate_snapshot"]
 
 
 class PrefetchStream:
-    """Block-prefetching, rewindable facade over one ``RngStream``.
+    """Block-prefetching facade over one ``RngStream``.
 
     The serial microservice draws one lognormal per dispatch and one
     uniform per container start **from the same stream**, interleaved in
@@ -39,10 +37,7 @@ class PrefetchStream:
     - switching kinds (lognormal -> uniform or back) *resyncs* first:
       the generator rewinds to the saved pre-block state and re-draws
       exactly the consumed count, leaving it bit-identical to that many
-      scalar draws,
-    - :meth:`begin` / :meth:`rollback` bracket a speculative window: on
-      rollback the generator and buffer return to the marked position,
-      so an aborted vectorised window consumes nothing.
+      scalar draws.
 
     ``sync()`` normalises the stream back to its serial-equivalent
     position (used before snapshotting generator state).
@@ -115,21 +110,6 @@ class PrefetchStream:
         self._pos = 0
         self._kind = None
         self._pre_block_state = None
-
-    def begin(self) -> Tuple:
-        """Mark the current position for a speculative window."""
-        return (
-            self._kind, self._a, self._b, self._buf, self._pos,
-            self._pre_block_state, self._gen.bit_generator.state,
-        )
-
-    def rollback(self, mark: Tuple) -> None:
-        """Return to a :meth:`begin` mark (aborted speculative window)."""
-        (
-            self._kind, self._a, self._b, self._buf, self._pos,
-            self._pre_block_state, gen_state,
-        ) = mark
-        self._gen.bit_generator.state = gen_state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -230,15 +230,31 @@ class MicroserviceWorkflowSystem:
 
     def inject_burst(self, counts: Mapping[str, int]) -> List[WorkflowRequest]:
         """Submit a burst of requests immediately (Section VI-D scenarios)."""
+        self._check_burst(counts)
         requests: List[WorkflowRequest] = []
         for workflow_type, count in counts.items():
+            for _ in range(count):
+                requests.append(self.submit(workflow_type))
+        return requests
+
+    def _check_burst(self, counts: Mapping[str, int]) -> None:
+        """Validate a whole burst before any of it is submitted.
+
+        Every substrate's :meth:`inject_burst` calls this first, so a bad
+        entry anywhere in ``counts`` raises with the system untouched
+        instead of leaving the entries before it injected.
+        """
+        for workflow_type, count in counts.items():
+            self.ensemble.workflow_index(workflow_type)  # KeyError if unknown
+            if not isinstance(count, (int, np.integer)):
+                raise TypeError(
+                    f"burst count for {workflow_type!r} must be an int, "
+                    f"got {count!r}"
+                )
             if count < 0:
                 raise ValueError(
                     f"burst count for {workflow_type!r} must be >= 0, got {count}"
                 )
-            for _ in range(count):
-                requests.append(self.submit(workflow_type))
-        return requests
 
     # Completion bookkeeping ----------------------------------------------
     def _on_task_complete(self, task_request: TaskRequest, now: float) -> None:
@@ -321,20 +337,11 @@ class MicroserviceWorkflowSystem:
             dtype=np.float64,
         )
 
-    def _advance_window(self, end: float) -> None:
-        """Advance simulation time to ``end`` (one window of events).
-
-        Template method: the serial substrate runs the event loop
-        directly; the batched substrate first attempts its vectorised
-        window replay and falls back to the exact loop.
-        """
-        self.loop.run_until(end)
-
     def run_window(self) -> WindowObservation:
         """Advance one control window and return its observation."""
         start = self.loop.now
         end = start + self.config.window_length
-        self._advance_window(end)
+        self.loop.run_until(end)
         wip = self.wip_vector()
         # Publishes since the last window's observation — a persistent
         # snapshot so burst injections between windows are attributed to

@@ -168,6 +168,8 @@ def _reconcile(durations: List[float], makespan: float) -> List[float]:
     bitwise.  Folding the residual into the *largest* element — the
     obvious choice — fails when the exact sum lands on a round-to-even
     tie: a one-ulp nudge jumps over the target and oscillates.
+
+    The input list is never modified; a correction returns a new list.
     """
     if not durations or math.fsum(durations) == makespan:
         return durations
@@ -181,8 +183,7 @@ def _reconcile(durations: List[float], makespan: float) -> List[float]:
         d = math.nextafter(
             d, math.inf if total < makespan else -math.inf
         )
-    durations[j] = d
-    return durations
+    return durations[:j] + [d] + durations[j + 1:]
 
 
 def _hop_stages(

@@ -105,12 +105,10 @@ class TestAgentRoundtrip:
             assert np.array_equal(original[key], restored[key]), key
 
         # Identical draws from identical ring state.
-        from repro.utils.rng import RngStream
+        from repro.utils.rng import spawn_rngs
 
-        a = replay.sample(8, RngStream("s", np.random.SeedSequence(3)))
-        b = loaded.ddpg.replay.sample(
-            8, RngStream("s", np.random.SeedSequence(3))
-        )
+        a = replay.sample(8, spawn_rngs(3, ["sample"])["sample"])
+        b = loaded.ddpg.replay.sample(8, spawn_rngs(3, ["sample"])["sample"])
         for key in a:
             assert np.array_equal(a[key], b[key]), key
 

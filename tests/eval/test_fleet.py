@@ -7,6 +7,7 @@ function of (root seed, label) and the merge runs in sorted-label order.
 """
 
 import json
+import math
 
 import pytest
 
@@ -109,7 +110,7 @@ class TestMerge:
         merge = merge_fleet(tmp_path)
         snapshot = merge.sink.snapshot()
         series = snapshot["families"]["repro_arrivals_total"]["series"]
-        assert series[0]["value"] == 2.0
+        assert math.isclose(series[0]["value"], 2.0)
 
     def test_empty_fleet_merges_cleanly(self, tmp_path):
         merge = merge_fleet(tmp_path)

@@ -16,7 +16,7 @@ from repro.rl.distributed import (
     resolve_workers,
     run_collect_episode,
 )
-from repro.utils.rng import RngStream
+from repro.utils.rng import spawn_rngs
 
 ENV_FACTORY = "repro.eval.experiments:build_training_env"
 
@@ -30,7 +30,7 @@ def make_episode_spec(episode=0, lane=0, steps=4, seed=123, env_seed=456,
     """A self-contained worker spec (random actions — no policy needed)."""
     ddpg = DDPGAgent(
         4, 4, config=DDPGConfig(hidden_sizes=(8,), batch_size=4),
-        rng=RngStream("t", np.random.SeedSequence(0)),
+        rng=spawn_rngs(0, ["ddpg"])["ddpg"],
     )
     return {
         "episode": episode,
@@ -231,7 +231,7 @@ class TestDistributedCollector:
     def collect(self, workers, mode="logical", steps=40):
         ddpg = DDPGAgent(
             4, 4, config=DDPGConfig(hidden_sizes=(8,), batch_size=4),
-            rng=RngStream("t", np.random.SeedSequence(0)),
+            rng=spawn_rngs(0, ["ddpg"])["ddpg"],
         )
         collector = DistributedCollector(
             make_spec(dataset="msd"), workers=workers, mode=mode,

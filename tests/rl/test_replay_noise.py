@@ -109,12 +109,12 @@ class TestReplayCheckpoint:
         self._assert_identical(buffer, restored)
 
     def test_restored_buffer_samples_identically(self):
-        from repro.utils.rng import RngStream
+        from repro.utils.rng import spawn_rngs
 
         buffer = self._filled(17, capacity=10)
         restored = self._restored(buffer)
-        a = buffer.sample(8, RngStream("s", np.random.SeedSequence(5)))
-        b = restored.sample(8, RngStream("s", np.random.SeedSequence(5)))
+        a = buffer.sample(8, spawn_rngs(5, ["sample"])["sample"])
+        b = restored.sample(8, spawn_rngs(5, ["sample"])["sample"])
         for key in a:
             assert np.array_equal(a[key], b[key]), key
 

@@ -59,17 +59,11 @@ class TestIndexFifo:
         assert out != sorted(out) or out == sorted(out)  # drained fully
         assert sorted(out) == list(range(1000))
 
-    def test_peek_prefix_and_consume(self):
-        fifo = IndexFifo()
-        fifo.push_many(np.arange(10, dtype=np.int64))
-        assert fifo.peek_prefix(4).tolist() == [0, 1, 2, 3]
-        fifo.consume(4)
-        assert fifo.to_list() == [4, 5, 6, 7, 8, 9]
-
     def test_push_front_after_consume(self):
         fifo = IndexFifo()
         fifo.push_many(np.arange(20, dtype=np.int64))
-        fifo.consume(20)
+        for _ in range(20):
+            fifo.pop()
         for i in (42, 41, 40):
             fifo.push_front(i)
         assert fifo.to_list() == [40, 41, 42]
@@ -116,19 +110,6 @@ class TestPrefetchStream:
             prefetched.generator.bit_generator.state
             == scalar.generator.bit_generator.state
         )
-
-    def test_begin_rollback_consumes_nothing(self):
-        reference, speculative = make_stream(seed=5), make_stream(seed=5)
-        stream = PrefetchStream(speculative, block=8)
-        stream.lognormal(1.0, 0.5)  # consume one for a non-trivial mark
-        reference.generator.lognormal(1.0, 0.5)
-        mark = stream.begin()
-        for _ in range(20):
-            stream.lognormal(1.0, 0.5)
-        stream.rollback(mark)
-        for _ in range(10):
-            expected = float(reference.generator.lognormal(1.0, 0.5))
-            assert stream.lognormal(1.0, 0.5) == expected
 
 
 class TestServiceTimeSampling:

@@ -72,6 +72,13 @@ class TestReconcile:
         out = _reconcile(durations, makespan)
         assert math.fsum(out) == makespan
 
+    def test_input_list_is_not_modified(self):
+        durations = [0.1] * 10
+        makespan = math.nextafter(math.fsum(durations), math.inf)
+        out = _reconcile(durations, makespan)
+        assert durations == [0.1] * 10
+        assert out != durations
+
     def test_residual_below_largest_ulp_is_absorbed(self):
         """The round-to-even tie case: a residual smaller than the
         largest element's ulp must still reach bitwise equality."""
@@ -130,7 +137,8 @@ class TestRollups:
         rows = report.bottlenecks(top_k=10_000)
         totals = [row["total_seconds"] for row in rows]
         assert totals == sorted(totals, reverse=True)
-        assert math.fsum(row["share"] for row in rows) == 1.0
+        # Bit-exact on purpose: the shares of one trace must fsum to 1.
+        assert math.fsum(row["share"] for row in rows) == 1.0  # reprolint: disable=S101
         for row in rows:
             assert row["requests"] >= 1
 

@@ -2,6 +2,7 @@
 determinism contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestAggregator:
         families = agg.snapshot()["families"]
         last = families["repro_training_metric"]["series"][0]
         ewma = families["repro_training_metric_ewma"]["series"][0]
-        assert last["value"] == 2.0
+        assert math.isclose(last["value"], 2.0)
         assert ewma["value"] == pytest.approx(0.3 * 2.0 + 0.7 * 4.0)
 
 

@@ -7,6 +7,7 @@ monotonicity up to +Inf, and the format's trailing newline.
 """
 
 import json
+import math
 import re
 
 from repro.telemetry import MetricsRegistry
@@ -48,8 +49,8 @@ class TestZeroObservationHistograms:
     def test_zero_observation_quantiles_are_zero(self):
         registry = MetricsRegistry()
         hist = registry.histogram("h", (1.0,)).labels()
-        assert hist.quantile(0.99) == 0.0
-        assert hist.state()["p50"] == 0.0
+        assert math.isclose(hist.quantile(0.99), 0.0)
+        assert math.isclose(hist.state()["p50"], 0.0)
 
 
 class TestBucketMonotonicity:

@@ -2,6 +2,7 @@
 and the conformance exit code."""
 
 import json
+import math
 
 import pytest
 
@@ -66,7 +67,7 @@ class TestLoading:
         )
         specs = load_slo_specs(spec_file)
         assert [s.name for s in specs] == ["deadline", "burn"]
-        assert specs[1].window == 4 and specs[1].burn_budget == 0.5
+        assert specs[1].window == 4 and math.isclose(specs[1].burn_budget, 0.5)
 
     def test_json_objectives_and_bare_list(self, tmp_path):
         table = {"name": "n", "metric": "completions", "threshold": 1,

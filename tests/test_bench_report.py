@@ -1,6 +1,7 @@
 """`repro bench report` tests: artifact summary table and trajectory."""
 
 import json
+import math
 
 from repro.cli import main
 from repro.cli import _flatten_bench
@@ -39,8 +40,8 @@ class TestBenchReport:
         assert main(["bench", "report", "--root", str(root),
                      "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["alpha"]["speedup"] == 4.5
-        assert summary["beta"]["budget_pct"] == 2.0
+        assert math.isclose(summary["alpha"]["speedup"], 4.5)
+        assert math.isclose(summary["beta"]["budget_pct"], 2.0)
         # Non-numeric leaves (environment strings) are excluded.
         assert "env.python" not in summary["alpha"]
 
@@ -55,7 +56,7 @@ class TestBenchReport:
         for line in lines:
             row = json.loads(line)
             assert set(row) == {"wall_time", "benchmarks"}
-            assert row["benchmarks"]["alpha"]["speedup"] == 4.5
+            assert math.isclose(row["benchmarks"]["alpha"]["speedup"], 4.5)
             assert row["wall_time"]  # ISO stamp from wall_time_now()
 
     def test_missing_artifacts_exit_nonzero(self, tmp_path, capsys):
@@ -67,4 +68,4 @@ class TestBenchReport:
         assert main(["bench", "report", "--root", ".", "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert "observability" in summary
-        assert summary["observability"]["budget_pct"] == 2.0
+        assert math.isclose(summary["observability"]["budget_pct"], 2.0)
