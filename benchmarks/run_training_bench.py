@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Training-path throughput benchmark + regression gate.
 
-Measures the two perf-opt paths of the synthetic-rollout engine and
-writes ``BENCH_training.json`` at the repository root:
+Measures the synthetic-rollout engine and the parallel experiment
+runner and writes ``BENCH_training.json`` at the repository root:
 
 - ``rollout.speedup`` — synthetic-rollout transitions/second of the
   batched engine (``BatchedModelEnv`` + ``act_batch`` + ``add_batch``
@@ -16,18 +16,9 @@ writes ``BENCH_training.json`` at the repository root:
   machine the pool is expected to be *slower* (spawn overhead, no
   parallelism); the numbers are reported honestly and the gate only
   requires byte-identical output.
-- ``distributed`` — real-environment collection steps/second of the
-  deterministic logical interleave (1 worker) vs the physical process
-  pool (``--collect-workers`` workers), on the same episode plan, plus
-  byte-equality checks: logical N-worker vs logical 1-worker, and
-  physical vs logical.  The >= 2x speedup gate is enforced only when
-  ``os.cpu_count() >= 4`` (a one-core container cannot exhibit process
-  parallelism; equality is still gated everywhere).
 
-``--check`` exits non-zero when the batched speedup falls below 3x,
-the parallel runner's JSON differs from the serial runner's, the
-distributed merges are not byte-identical, or (on >= 4-core hosts)
-physical collection is below the 2x floor.
+``--check`` exits non-zero when the batched speedup falls below 3x or
+the parallel runner's JSON differs from the serial runner's.
 
 Run:  PYTHONPATH=src python benchmarks/run_training_bench.py --check
 """
@@ -54,23 +45,10 @@ from repro.eval.parallel import (
     run_cells,
 )
 from repro.rl.ddpg import DDPGAgent, DDPGConfig
-from repro.rl.distributed import (
-    DistributedCollector,
-    EnvSpec,
-    episode_plan,
-    policy_payload,
-)
 from repro.utils.rng import RngStream
 
 #: Gate: batched rollout generation must be at least this much faster.
 SPEEDUP_FLOOR = 3.0
-
-#: Gate: physical multi-worker collection must be at least this much
-#: faster than single-worker logical collection — enforced only on
-#: hosts with >= DISTRIBUTED_MIN_CPUS cores (a one-core container has
-#: no parallelism to measure; byte-equality is still gated there).
-DISTRIBUTED_SPEEDUP_FLOOR = 2.0
-DISTRIBUTED_MIN_CPUS = 4
 
 ARTIFACT = "BENCH_training.json"
 
@@ -226,76 +204,14 @@ def _bench_parallel(cells: int, workers: int, repeats: int) -> dict:
     }
 
 
-def _blocks_equal(a: list, b: list) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if (x.episode, x.lane, x.steps) != (y.episode, y.lane, y.steps):
-            return False
-        for field in ("states", "executed", "rewards", "next_states"):
-            if not np.array_equal(getattr(x, field), getattr(y, field)):
-                return False
-        if x.episode_return != y.episode_return:
-            return False
-        if x.sim_time_end != y.sim_time_end:
-            return False
-    return True
-
-
-def _bench_distributed(steps: int, workers: int, repeats: int) -> dict:
-    spec = EnvSpec.make(
-        "repro.eval.experiments:build_training_env", dataset="msd"
-    )
-    payload = policy_payload(_ddpg())
-    plan = episode_plan(steps, 25, lanes=4, root_seed=0)
-
-    def collect(mode, n):
-        collector = DistributedCollector(spec, workers=n, mode=mode)
-        # The benchmark times itself; no simulation reads this clock.
-        start = time.perf_counter()  # reprolint: disable=D102
-        blocks = collector.collect(payload, plan, random_fraction=0.5)
-        return time.perf_counter() - start, blocks  # reprolint: disable=D102
-
-    logical_s = float("inf")
-    physical_s = float("inf")
-    logical_blocks = logical_n_blocks = physical_blocks = None
-    for _ in range(repeats):
-        elapsed, logical_blocks = collect("logical", 1)
-        logical_s = min(logical_s, elapsed)
-        _, logical_n_blocks = collect("logical", workers)
-        elapsed, physical_blocks = collect("physical", workers)
-        physical_s = min(physical_s, elapsed)
-
-    cpu_count = os.cpu_count() or 1
-    return {
-        "collect_steps": steps,
-        "episodes": len(plan),
-        "workers": workers,
-        "logical_steps_per_second": steps / logical_s,
-        "physical_steps_per_second": steps / physical_s,
-        "speedup": logical_s / physical_s,
-        "speedup_floor": DISTRIBUTED_SPEEDUP_FLOOR,
-        "gate_enforced": cpu_count >= DISTRIBUTED_MIN_CPUS,
-        "logical_match": _blocks_equal(logical_blocks, logical_n_blocks),
-        "physical_matches_logical": _blocks_equal(
-            logical_blocks, physical_blocks
-        ),
-        "cpu_count": cpu_count,
-    }
-
-
 def run_benchmark(transitions: int, rollout_length: int, batch: int,
-                  cells: int, workers: int, repeats: int,
-                  collect_steps: int, collect_workers: int) -> dict:
+                  cells: int, workers: int, repeats: int) -> dict:
     return {
-        "artifact_version": 2,
+        "artifact_version": 3,
         "rollout": _bench_rollouts(
             transitions, rollout_length, batch, repeats
         ),
         "parallel": _bench_parallel(cells, workers, repeats),
-        "distributed": _bench_distributed(
-            collect_steps, collect_workers, repeats
-        ),
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -315,12 +231,6 @@ def main(argv=None) -> int:
                         help="quick fig5 cells for the parallel comparison")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes for the parallel comparison")
-    parser.add_argument("--collect-steps", type=int, default=200,
-                        help="real-environment steps for the distributed "
-                             "collection comparison")
-    parser.add_argument("--collect-workers", type=int, default=4,
-                        help="physical worker processes for the distributed "
-                             "collection comparison")
     parser.add_argument("--repeats", type=int, default=2,
                         help="repetitions per configuration (best-of)")
     parser.add_argument(
@@ -335,7 +245,6 @@ def main(argv=None) -> int:
     result = run_benchmark(
         args.transitions, args.rollout_length, args.rollout_batch,
         args.cells, args.workers, args.repeats,
-        args.collect_steps, args.collect_workers,
     )
     Path(args.output).write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -343,7 +252,6 @@ def main(argv=None) -> int:
 
     rollout = result["rollout"]
     parallel = result["parallel"]
-    distributed = result["distributed"]
     print(f"wrote {args.output}")
     print(
         f"rollout generation: serial "
@@ -360,21 +268,6 @@ def main(argv=None) -> int:
         f"({parallel['cpu_count']} cpu), outputs "
         + ("match" if parallel["parallel_matches_serial"] else "DIFFER")
     )
-    gate_note = (
-        "enforced" if distributed["gate_enforced"]
-        else f"not enforced, < {DISTRIBUTED_MIN_CPUS} cpus"
-    )
-    print(
-        f"distributed collection: logical "
-        f"{distributed['logical_steps_per_second']:,.0f} steps/s, physical "
-        f"({distributed['workers']} workers) "
-        f"{distributed['physical_steps_per_second']:,.0f} steps/s "
-        f"-> {distributed['speedup']:.2f}x "
-        f"(floor {DISTRIBUTED_SPEEDUP_FLOOR}x, {gate_note}), merges "
-        + ("match" if distributed["logical_match"]
-           and distributed["physical_matches_logical"] else "DIFFER")
-    )
-
     failures = []
     if rollout["speedup"] < SPEEDUP_FLOOR:
         failures.append(
@@ -383,22 +276,6 @@ def main(argv=None) -> int:
         )
     if not parallel["parallel_matches_serial"]:
         failures.append("parallel runner output differs from serial runner")
-    if not distributed["logical_match"]:
-        failures.append(
-            "logical multi-worker merge differs from single-worker merge"
-        )
-    if not distributed["physical_matches_logical"]:
-        failures.append(
-            "physical collection differs from the logical interleave"
-        )
-    if (
-        distributed["gate_enforced"]
-        and distributed["speedup"] < DISTRIBUTED_SPEEDUP_FLOOR
-    ):
-        failures.append(
-            f"distributed speedup {distributed['speedup']:.2f}x is below "
-            f"the {DISTRIBUTED_SPEEDUP_FLOOR}x floor"
-        )
     if args.check and failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

@@ -66,21 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="synthetic rollouts advanced together per pass (K in the "
              "vectorised rollout engine; 1 = the serial schedule)",
     )
-    train.add_argument(
-        "--collect-mode", choices=("serial", "logical", "physical"),
-        default=None,
-        help="real-environment collection topology: serial (in-loop), "
-             "logical (fixed interleave schedule in-process, "
-             "deterministic), or physical (collector processes); "
-             "logical and physical are byte-identical for any worker "
-             "count",
-    )
-    train.add_argument(
-        "--collect-workers", type=int, default=None,
-        help="collector processes for the distributed collect modes "
-             "(0 = auto-detect os.cpu_count(); a pure throughput knob — "
-             "never changes results)",
-    )
     train.add_argument("--output", default=None,
                        help="directory to save the trained agent to")
 
@@ -297,7 +282,6 @@ def _cmd_train(args) -> int:
     from repro.core.agent import MirasAgent
     from repro.core.persistence import save_agent
     from repro.eval.experiments import dataset_preset, make_env
-    from repro.rl.distributed import EnvSpec
     from repro.sim.system import SystemConfig
 
     preset = dataset_preset(args.dataset)
@@ -308,10 +292,6 @@ def _cmd_train(args) -> int:
     policy_overrides = {}
     if args.rollout_batch is not None:
         policy_overrides["rollout_batch"] = args.rollout_batch
-    if args.collect_mode is not None:
-        policy_overrides["collect_mode"] = args.collect_mode
-    if args.collect_workers is not None:
-        policy_overrides["collect_workers"] = args.collect_workers
     if policy_overrides:
         config = replace(
             config, policy=replace(config.policy, **policy_overrides)
@@ -322,10 +302,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         background_rates=preset["rates"],
     )
-    env_spec = EnvSpec.make(
-        "repro.eval.experiments:build_training_env", dataset=args.dataset
-    )
-    agent = MirasAgent(env, config, seed=args.seed, env_spec=env_spec)
+    agent = MirasAgent(env, config, seed=args.seed)
     agent.iterate(iterations=args.iterations, verbose=True)
     print(f"training trace: "
           f"{[round(r.eval_reward, 1) for r in agent.results]}")

@@ -30,13 +30,6 @@ from repro.core.environment_model import EnvironmentModel
 from repro.core.model_env import BatchedModelEnv, ModelEnv
 from repro.core.refinement import RefinedModel
 from repro.rl.ddpg import DDPGAgent
-from repro.rl.distributed import (
-    DistributedCollector,
-    EnvSpec,
-    TransitionBlock,
-    episode_plan,
-    policy_payload,
-)
 from repro.sim.env import MicroserviceEnv
 from repro.telemetry.profile import PhaseProfiler
 from repro.telemetry.tracer import Tracer
@@ -71,19 +64,9 @@ class MirasAgent:
         seed: int = 0,
         tracer: Optional[Tracer] = None,
         profiler: Optional[PhaseProfiler] = None,
-        env_spec: Optional[EnvSpec] = None,
     ):
         self.env = env
         self.config = config or MirasConfig()
-        #: Picklable recipe for environment replicas; required by the
-        #: distributed collection modes (repro.rl.distributed), which
-        #: build one fresh environment per episode per worker.
-        self.env_spec = env_spec
-        self.seed = seed
-        #: Global episode counter across outer iterations — episode
-        #: indices (and hence the label-derived seed streams) never
-        #: repeat between iterations.
-        self._episodes_collected = 0
         #: Telemetry tracer; inherits the environment's system tracer so a
         #: traced system automatically gets training-loop scalars too.
         self.tracer = tracer if tracer is not None else env.system.tracer
@@ -175,88 +158,6 @@ class MirasAgent:
             state = next_state
             added += 1
         flush()
-        return added
-
-    def collect_distributed(
-        self, steps: int, random_fraction: float = 0.0
-    ) -> int:
-        """Distributed actor/learner collection (repro.rl.distributed).
-
-        Slices ``steps`` into the fixed logical-interleave episode
-        schedule, runs the episodes over ``policy.collect_workers``
-        collectors (in-process for ``logical`` mode, a process pool for
-        ``physical``), and ingests the merged transition blocks in
-        episode order — dataset rows, replay via ``store_batch``, and one
-        ``span.collect`` trace record per episode.  The merged result is
-        byte-identical for any worker count and either mode; see
-        docs/PERFORMANCE.md for the determinism contract.
-
-        Unlike the serial collector, exploration runs against a frozen
-        snapshot of the actor (one parameter-space perturbation per
-        episode, no sigma adaptation mid-collection): workers never read
-        the learner's replay buffer.  Returns the transitions added.
-        """
-        if steps <= 0:
-            raise ValueError(f"steps must be positive, got {steps}")
-        if self.env_spec is None:
-            raise RuntimeError(
-                "distributed collection needs an env_spec (a picklable "
-                "'module:callable' environment recipe); construct the "
-                "agent with env_spec=EnvSpec.make(...) or use "
-                "collect_mode='serial'"
-            )
-        cfg = self.config
-        policy = cfg.policy
-        mode = "physical" if policy.collect_mode == "physical" else "logical"
-        collector = DistributedCollector(
-            self.env_spec,
-            workers=policy.collect_workers,
-            mode=mode,
-            burst_probability=cfg.collect_burst_probability,
-            burst_scale=cfg.collect_burst_scale,
-        )
-        plan = episode_plan(
-            steps,
-            cfg.reset_interval,
-            policy.collect_lanes,
-            self.seed,
-            first_episode=self._episodes_collected,
-        )
-        added = 0
-
-        def ingest(run: List[TransitionBlock]) -> None:
-            nonlocal added
-            for block in run:
-                for row in range(block.steps):
-                    self.dataset.add(
-                        block.states[row],
-                        block.executed[row].astype(np.float64),
-                        block.next_states[row],
-                    )
-                self.ddpg.store_batch(
-                    block.states,
-                    block.executed / self.env.consumer_budget,
-                    block.rewards,
-                    block.next_states,
-                )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "span.collect",
-                        lane=block.lane,
-                        episode=block.episode,
-                        steps=block.steps,
-                        reward=block.episode_return,
-                        sim_time=block.sim_time_end,
-                    )
-                added += block.steps
-
-        collector.collect(
-            policy_payload(self.ddpg),
-            plan,
-            random_fraction=random_fraction,
-            on_flush=ingest,
-        )
-        self._episodes_collected += len(plan)
         return added
 
     def _maybe_inject_burst(
@@ -415,7 +316,10 @@ class MirasAgent:
         workflow types), so iteration-to-iteration scores are comparable
         and reflect burst handling, not just steady-state behaviour.
         """
-        steps = steps or self.config.eval_steps
+        if steps is None:
+            steps = self.config.eval_steps
+        elif steps <= 0:
+            raise ValueError(f"steps must be positive, got {steps}")
         state = self.env.reset()
         if self.config.eval_burst_scale > 0:
             names = self.env.system.ensemble.workflow_names()
@@ -461,7 +365,10 @@ class MirasAgent:
         restored at the end, so a noisy late iteration cannot destroy an
         already-good policy.
         """
-        iterations = iterations or self.config.iterations
+        if iterations is None:
+            iterations = self.config.iterations
+        elif iterations <= 0:
+            raise ValueError(f"iterations must be positive, got {iterations}")
         best_reward = max(
             (r.eval_reward for r in self.results), default=-np.inf
         )
@@ -473,16 +380,10 @@ class MirasAgent:
             # Once-per-iteration phases: no ``enabled`` guard needed, the
             # disabled profiler hands back a shared no-op context manager.
             with self.profiler.phase("agent/collect"):
-                if self.config.policy.collect_mode == "serial":
-                    self.collect_real_interactions(
-                        self.config.steps_per_iteration,
-                        random_fraction=random_fraction,
-                    )
-                else:
-                    self.collect_distributed(
-                        self.config.steps_per_iteration,
-                        random_fraction=random_fraction,
-                    )
+                self.collect_real_interactions(
+                    self.config.steps_per_iteration,
+                    random_fraction=random_fraction,
+                )
             with self.profiler.phase("agent/train_model"):
                 model_loss = self.train_model()
             with self.profiler.phase("agent/train_policy"):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro.rl.ddpg import DDPGConfig
-from repro.rl.distributed import COLLECT_MODES
 from repro.utils.validation import (
     check_in_range,
     check_non_negative,
@@ -71,24 +70,12 @@ class PolicyConfig:
     #: schedule bit-for-bit; larger values trade per-episode update
     #: interleaving for batched model/actor forwards.
     rollout_batch: int = 1
-    #: Real-environment collection topology (repro.rl.distributed):
-    #: ``serial`` is the historical in-loop collector; ``logical``
-    #: executes the fixed round-robin interleave schedule in-process
-    #: (deterministic, CI-pinnable); ``physical`` fans the same schedule
-    #: over collector processes for throughput.  ``logical`` and
-    #: ``physical`` produce byte-identical training state for any worker
-    #: count.
+    #: Real-environment collector.  Distributed collection was removed;
+    #: the in-loop ``MirasAgent.collect_real_interactions`` is the only
+    #: collector, so ``"serial"`` is the only legal value.  The field is
+    #: kept only because the end-to-end benchmark harness still passes
+    #: ``collect_mode="serial"``; drop it together with that line.
     collect_mode: str = "serial"
-    #: Collector processes for the distributed modes (0 auto-detects
-    #: ``os.cpu_count()``).  Never feeds entropy or ordering — a pure
-    #: throughput knob.
-    collect_workers: int = 1
-    #: Width of the fixed logical-interleave schedule: episode ``e`` runs
-    #: on lane ``e mod collect_lanes`` with lane-labelled seed streams.
-    #: A *schedule* constant, deliberately independent of
-    #: ``collect_workers``, so changing the worker count can never change
-    #: which seeds the episodes draw.
-    collect_lanes: int = 4
 
     def __post_init__(self):
         check_positive("rollout_length", self.rollout_length)
@@ -96,12 +83,11 @@ class PolicyConfig:
         check_positive("updates_per_step", self.updates_per_step)
         check_positive("patience", self.patience)
         check_positive("rollout_batch", self.rollout_batch)
-        check_positive("collect_lanes", self.collect_lanes)
-        check_non_negative("collect_workers", self.collect_workers)
-        if self.collect_mode not in COLLECT_MODES:
+        if self.collect_mode != "serial":
             raise ValueError(
-                f"collect_mode must be one of {COLLECT_MODES}, "
-                f"got {self.collect_mode!r}"
+                f"collect_mode must be 'serial', got {self.collect_mode!r}: "
+                "distributed collection (the 'logical' and 'physical' "
+                "modes) was removed"
             )
 
 

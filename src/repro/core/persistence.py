@@ -44,12 +44,32 @@ def config_to_dict(config: MirasConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+def _check_keys(section: str, data: dict, cls: type) -> None:
+    """Raise unless ``data`` has exactly the fields of dataclass ``cls``."""
+    expected = {f.name for f in dataclasses.fields(cls)}
+    problems = [f"unknown key {k!r}" for k in sorted(set(data) - expected)]
+    problems += [f"missing key {k!r}" for k in sorted(expected - set(data))]
+    if problems:
+        raise ValueError(f"config section {section!r}: " + ", ".join(problems))
+
+
 def config_from_dict(data: dict) -> MirasConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    Every section must carry exactly its dataclass's fields: a key this
+    version does not know (say, from an agent saved by an older version)
+    or a missing key raises a ``ValueError`` naming the section and key.
+    """
+    _check_keys("config", data, MirasConfig)
     data = dict(data)
-    model = ModelConfig(**data.pop("model"))
+    model_data = data.pop("model")
+    _check_keys("model", model_data, ModelConfig)
     policy_data = dict(data.pop("policy"))
-    ddpg = DDPGConfig(**policy_data.pop("ddpg"))
+    _check_keys("policy", policy_data, PolicyConfig)
+    ddpg_data = policy_data.pop("ddpg")
+    _check_keys("policy.ddpg", ddpg_data, DDPGConfig)
+    model = ModelConfig(**model_data)
+    ddpg = DDPGConfig(**ddpg_data)
     policy = PolicyConfig(ddpg=ddpg, **policy_data)
     return MirasConfig(model=model, policy=policy, **data)
 

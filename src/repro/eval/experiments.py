@@ -46,7 +46,6 @@ from repro.workload.bursts import (
 __all__ = [
     "EXPERIMENTS",
     "Fig5Result",
-    "build_training_env",
     "dataset_preset",
     "experiment_fig5_model_accuracy",
     "experiment_fig6_training_trace",
@@ -103,21 +102,6 @@ def _training_env(name: str, seed: int, tracer=None) -> MicroserviceEnv:
         background_rates=preset["rates"],
         tracer=tracer,
     )
-
-
-def build_training_env(seed: int, dataset: str = "msd") -> MicroserviceEnv:
-    """Standalone training-environment factory for worker processes.
-
-    The distributed collector (``repro.rl.distributed``) replicates the
-    training environment inside each collector process from an
-    :class:`~repro.rl.distributed.EnvSpec` recipe — a ``"module:callable"``
-    string plus keyword params — so this must stay a *module-level*
-    callable taking only picklable arguments (reprolint W101): use
-    ``EnvSpec.make("repro.eval.experiments:build_training_env",
-    dataset="msd")``.  Replicas are untraced: each worker's transition
-    block carries its own deterministic bookkeeping instead.
-    """
-    return _training_env(dataset, seed)
 
 
 def _collect_random_dataset(

@@ -535,18 +535,6 @@ class MetricsAggregator:
         self._node_used = r.gauge(
             "repro_node_slots_used", "cluster slots in use", ("node",)
         )
-        self._collect_episodes = r.counter(
-            "repro_collect_episodes_total",
-            "distributed-collection episodes merged", ("lane",),
-        )
-        self._collect_steps = r.counter(
-            "repro_collect_steps_total",
-            "real-environment transitions collected", ("lane",),
-        )
-        self._collect_return = r.gauge(
-            "repro_collect_episode_return",
-            "return of the last merged collection episode", ("lane",),
-        )
         self._windows = r.counter(
             "repro_windows_total", "control windows observed"
         )
@@ -672,12 +660,6 @@ class MetricsAggregator:
         for service, depth in record["queue_ready"].items():
             self._queue_ready.labels(service).set(depth)
 
-    def _on_collect(self, record: Mapping) -> None:
-        lane = f"lane{record['lane']}"
-        self._collect_episodes.labels(lane).inc()
-        self._collect_steps.labels(lane).inc(record["steps"])
-        self._collect_return.labels(lane).set(record["reward"])
-
     def _on_metric(self, record: Mapping) -> None:
         name = record["name"]
         value = record["value"]
@@ -698,7 +680,6 @@ class MetricsAggregator:
         "event.placement": _on_placement,
         "event.release": _on_placement,
         "span.window": _on_window,
-        "span.collect": _on_collect,
         "metric": _on_metric,
     }
 

@@ -32,8 +32,9 @@ __all__ = [
 #: v2: added ``event.task_complete`` (per-task service time).
 #: v3: added ``event.task_span`` (per-task causal span for critical-path
 #: attribution).
-#: v4: added ``span.collect`` (one merged distributed-collection episode).
-SCHEMA_VERSION = 4
+#: v4: added a per-episode record for distributed collection.
+#: v5: removed that record together with the distributed collector.
+SCHEMA_VERSION = 5
 
 #: Fields present on every record regardless of kind.
 ENVELOPE_FIELDS: FrozenSet[str] = frozenset({"kind", "t"})
@@ -46,15 +47,6 @@ RECORD_SCHEMAS: Dict[str, FrozenSet[str]] = {
     "span.window": frozenset({
         "index", "start", "end", "reward", "wip", "allocation", "busy",
         "starting", "queue_ready", "arrivals", "completions",
-    }),
-    # One real-environment collection episode merged by the distributed
-    # actor/learner engine (repro.rl.distributed), emitted in episode
-    # order at merge time.  ``lane`` is the logical-interleave lane,
-    # ``sim_time`` the episode replica's own simulation clock at its last
-    # window — worker identity and wall clock never appear, so traces are
-    # identical for any worker count.
-    "span.collect": frozenset({
-        "lane", "episode", "steps", "reward", "sim_time",
     }),
     # A workflow request entering the system.
     "event.arrival": frozenset({"workflow", "request_id"}),

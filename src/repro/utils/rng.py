@@ -123,8 +123,7 @@ def derive_stream_seed(root_seed: int, label: str) -> int:
     *order*, so any scheduling of labelled work items over workers —
     serial, process pools, interleaved — derives the same seed for the
     same item.  This is the primitive behind the parallel experiment
-    runner's per-cell seeds and the distributed collector's per-episode
-    streams.
+    runner's per-cell seeds.
     """
     if root_seed < 0:
         raise ValueError(f"root_seed must be >= 0, got {root_seed}")

@@ -1,11 +1,13 @@
-"""Process-safety coverage for the distributed-collector dispatch shape.
+"""Process-safety coverage for a collector-style pool dispatch shape.
 
-The collector ships episode specs into a process pool and gets
-transition blocks back (``repro.rl.distributed``).  These fixtures pin
-the endorsed payload shape — a module-level worker fed plain dicts of
+A collector that ships episode specs into a process pool and gets
+transition blocks back is the shape these fixtures lint.  They pin the
+endorsed payload shape — a module-level worker fed plain dicts of
 scalars, strings, and arrays — as P/W-clean, and pin the tempting
 shortcuts (shipping a live RNG, a tracer, or a lambda along with the
-spec) as findings.  The real engine module itself must stay clean too.
+spec, or merging in completion order) as findings.  The library's
+remaining pool-dispatch site, the parallel experiment runner
+(``repro.eval.parallel``), must stay clean too.
 """
 
 import textwrap
@@ -28,11 +30,11 @@ class TestCollectorPayloadShape:
         # plain dict (factory string, seeds, policy weights) and builds
         # its own env and RNG inside the child.
         findings = lint(src("""
-            def run_collect_episode(spec):
+            def run_episode(spec):
                 return {"episode": spec["episode"], "steps": spec["steps"]}
 
             def collect(pool, specs):
-                return list(pool.map(run_collect_episode, specs))
+                return list(pool.map(run_episode, specs))
         """))
         assert rules_of(findings).isdisjoint(PROCESS_RULES | WORKER_RULES)
 
@@ -42,12 +44,12 @@ class TestCollectorPayloadShape:
         findings = lint(src("""
             from numpy.random import default_rng
 
-            def run_collect_episode(spec, rng):
+            def run_episode(spec, rng):
                 return rng.normal()
 
             def collect(pool, spec):
                 rng = default_rng(0)
-                return pool.submit(run_collect_episode, spec, rng)
+                return pool.submit(run_episode, spec, rng)
         """))
         assert "W102" in rules_of(findings)
 
@@ -55,13 +57,13 @@ class TestCollectorPayloadShape:
         # Workers must not carry the learner's tracer; merged telemetry
         # is emitted parent-side at merge time instead.
         findings = lint(src("""
-            def run_collect_episode(spec, t):
+            def run_episode(spec, t):
                 return t
 
             class Collector:
                 def collect(self, executor, spec):
                     return executor.submit(
-                        run_collect_episode, spec, self.tracer
+                        run_episode, spec, self.tracer
                     )
         """))
         assert "W103" in rules_of(findings)
@@ -79,12 +81,12 @@ class TestCollectorPayloadShape:
         findings = lint(src("""
             from concurrent.futures import as_completed
 
-            def run_collect_episode(spec):
+            def run_episode(spec):
                 return spec
 
             def collect(pool, specs):
                 futures = [
-                    pool.submit(run_collect_episode, s) for s in specs
+                    pool.submit(run_episode, s) for s in specs
                 ]
                 merged = []
                 for future in as_completed(futures):
@@ -95,9 +97,9 @@ class TestCollectorPayloadShape:
 
 
 class TestRealCollectorModuleIsClean:
-    def test_distributed_engine_has_zero_process_findings(self):
+    def test_parallel_runner_has_zero_process_findings(self):
         root = repo_root()
-        target = root / "src" / "repro" / "rl" / "distributed.py"
+        target = root / "src" / "repro" / "eval" / "parallel.py"
         findings = run_analysis(
             [target], config=LintConfig(root=root / "src")
         ).findings

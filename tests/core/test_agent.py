@@ -121,3 +121,20 @@ class TestIterate:
         result = agent.evaluate(steps=3)
         assert np.isfinite(result.eval_reward)
         assert result.eval_mean_wip >= 0
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda agent, n: agent.iterate(iterations=n),
+            lambda agent, n: agent.evaluate(steps=n),
+        ],
+        ids=["iterate", "evaluate"],
+    )
+    def test_non_positive_count_is_rejected(self, agent, call, count):
+        # Only None means "use the config's count"; 0 must not silently
+        # run the whole preset.
+        with pytest.raises(ValueError, match="must be positive"):
+            call(agent, count)
+        assert agent.results == []
+        assert len(agent.dataset) == 0

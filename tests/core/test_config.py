@@ -30,7 +30,13 @@ class TestPolicyConfig:
         assert config.rollout_length == 25
 
     @pytest.mark.parametrize(
-        "kwargs", [{"rollout_length": 0}, {"patience": 0}, {"updates_per_step": 0}]
+        "kwargs",
+        [
+            {"rollout_length": 0},
+            {"patience": 0},
+            {"updates_per_step": 0},
+            {"collect_mode": "logical"},
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -50,6 +50,38 @@ class TestConfigRoundtrip:
             assert restored.policy.rollout_length == preset.policy.rollout_length
             assert restored.steps_per_iteration == preset.steps_per_iteration
 
+    def test_unknown_key_names_section_and_key(self):
+        # An agent saved while distributed collection existed carries
+        # collect_workers / collect_lanes in its policy section.
+        data = config_to_dict(MirasConfig())
+        data["policy"].update(collect_workers=1, collect_lanes=4)
+        with pytest.raises(
+            ValueError, match="section 'policy': unknown key 'collect_lanes'"
+        ) as excinfo:
+            config_from_dict(data)
+        assert "unknown key 'collect_workers'" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("config", "eval_steps"),
+            ("model", "epochs"),
+            ("policy", "patience"),
+            ("policy.ddpg", "tau"),
+        ],
+    )
+    def test_missing_key_names_section_and_key(self, section, key):
+        data = config_to_dict(MirasConfig())
+        target = data
+        if section != "config":
+            for part in section.split("."):
+                target = target[part]
+        del target[key]
+        with pytest.raises(
+            ValueError, match=f"section '{section}': missing key '{key}'"
+        ):
+            config_from_dict(data)
+
 
 class TestAgentRoundtrip:
     def test_policy_outputs_preserved(self, tmp_path):

@@ -17,10 +17,6 @@ EXAMPLES = {
         "busy": {"Ingest": 2}, "starting": {"Ingest": 1},
         "queue_ready": {"Ingest": 1}, "arrivals": 5, "completions": 2,
     },
-    "span.collect": {
-        "lane": 1, "episode": 5, "steps": 25, "reward": -140.5,
-        "sim_time": 750.0,
-    },
     "event.arrival": {"workflow": "Type3", "request_id": 17},
     "event.workflow_complete": {
         "workflow": "Type3", "request_id": 17, "response_time": 42.0,
